@@ -19,6 +19,7 @@ constant initializers) are bound before analysis via :class:`ConstEnv`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.almanac import astnodes as ast
@@ -536,6 +537,31 @@ def analyze_poll_var(decl: ast.VarDecl, env: ConstEnv,
         raise AlmanacAnalysisError(
             f".what of {decl.name!r} must be a filter expression")
     return PollVarInfo(name=decl.name, kind=decl.typ, ival=ival, what=what)
+
+
+@dataclass(frozen=True)
+class DeployTemplate:
+    """Deploy-time analysis shared by every seed of one program.
+
+    The constant environment and the poll-variable analyses depend only
+    on the flattened machine, its external values and the host's resource
+    names, never on the seed, so one template serves every seed deployed
+    with the same inputs.  ``poll_vars`` is read-only: a seed takes a
+    shallow copy, because ``set_trigger_interval`` pins entries in it.
+    """
+
+    env: ConstEnv
+    poll_vars: Mapping[str, PollVarInfo]
+
+    @classmethod
+    def build(cls, machine: ast.MachineDecl,
+              trigger_decls: Sequence[ast.VarDecl],
+              externals: Optional[Mapping[str, object]],
+              resource_names: Sequence[str]) -> "DeployTemplate":
+        env = ConstEnv.for_machine(machine, externals)
+        poll_vars = {decl.name: analyze_poll_var(decl, env, resource_names)
+                     for decl in trigger_decls}
+        return cls(env=env, poll_vars=MappingProxyType(poll_vars))
 
 
 # ---------------------------------------------------------------------------

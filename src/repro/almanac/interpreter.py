@@ -13,10 +13,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.almanac import astnodes as ast
 from repro.almanac.stdlib import (
+    PURE_BUILTINS,
     HostInterface,
     host_builtins,
     make_struct,
-    pure_builtins,
 )
 from repro.errors import AlmanacRuntimeError
 from repro.net import filters as flt
@@ -229,8 +229,7 @@ class MachineInstance:
         # costs exactly one attribute load + branch when this is None —
         # the disabled-instrumentation bound gated by run_perf.py.
         self._tracer = tracer
-        self.builtins: Dict[str, Callable[..., Any]] = {}
-        self.builtins.update(pure_builtins())
+        self.builtins: Dict[str, Callable[..., Any]] = dict(PURE_BUILTINS)
         self.builtins.update(host_builtins(host))
         if extra_builtins:
             self.builtins.update(extra_builtins)

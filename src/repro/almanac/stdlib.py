@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol
 
 from repro.errors import AlmanacRuntimeError
@@ -93,8 +94,7 @@ def _entropy(values: List[Any]) -> float:
     return -sum((c / total) * math.log2(c / total) for c in counts.values())
 
 
-def pure_builtins() -> Dict[str, Callable[..., Any]]:
-    """Host-independent builtins available to every seed and harvester."""
+def _make_pure_builtins() -> Dict[str, Callable[..., Any]]:
     return {
         # arithmetic
         "min": lambda *xs: min(xs),
@@ -171,6 +171,19 @@ def _prefix_of(ip: Any, length: Any) -> int:
         raise AlmanacRuntimeError(f"prefix length out of range: {length}")
     mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
     return int(ip) & mask
+
+
+#: The pure builtins, built once: every instance shares these function
+#: objects (a fresh set of ~40 lambdas per seed was most of what a deploy
+#: left on the heap).  Read-only; copy it to extend or override.
+PURE_BUILTINS: Mapping[str, Callable[..., Any]] = MappingProxyType(
+    _make_pure_builtins())
+
+
+def pure_builtins() -> Dict[str, Callable[..., Any]]:
+    """Host-independent builtins available to every seed and harvester
+    (a fresh dict over the shared :data:`PURE_BUILTINS` functions)."""
+    return dict(PURE_BUILTINS)
 
 
 def host_builtins(host: HostInterface) -> Dict[str, Callable[..., Any]]:

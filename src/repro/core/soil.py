@@ -19,9 +19,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.almanac import codegen
 from repro.almanac.analysis import (
-    ConstEnv,
+    DeployTemplate,
     PollVarInfo,
-    analyze_poll_var,
     encode_polling_subjects,
 )
 from repro.almanac.interpreter import CompiledMachine, MachineInstance, flatten_machine
@@ -107,20 +106,55 @@ def scalar_poll_forced() -> bool:
 #: Shared decode+flatten results; seeds of one task deploy the same XML on
 #: hundreds of switches, and a shared CompiledMachine lets the closure and
 #: vector-kernel caches amortize across the fleet (instances never mutate
-#: the compiled object).
-_COMPILE_CACHE: Dict[Tuple[str, str], CompiledMachine] = {}
+#: the compiled object).  Each entry also carries the program's deploy
+#: templates, keyed by externals and resource names, so clearing this one
+#: dict makes the next deploy fully cold.
+_COMPILE_CACHE: Dict[Tuple[str, str],
+                     Tuple[CompiledMachine, Dict[Any, DeployTemplate]]] = {}
 
 
-def _compiled_for(program_xml: str, machine_name: str) -> CompiledMachine:
+def _compiled_for(program_xml: str, machine_name: str,
+                  externals: Optional[Mapping[str, Any]],
+                  resource_types: Tuple[str, ...]
+                  ) -> Tuple[CompiledMachine, DeployTemplate]:
     key = (program_xml, machine_name)
-    compiled = _COMPILE_CACHE.get(key)
-    if compiled is None:
+    entry = _COMPILE_CACHE.get(key)
+    if entry is None:
         if len(_COMPILE_CACHE) >= 512:
             _COMPILE_CACHE.clear()
         program = decode_program(program_xml)
-        compiled = flatten_machine(program, machine_name)
-        _COMPILE_CACHE[key] = compiled
-    return compiled
+        entry = (flatten_machine(program, machine_name), {})
+        _COMPILE_CACHE[key] = entry
+    compiled, templates = entry
+    template_key = _template_key(externals, resource_types)
+    template = (templates.get(template_key) if template_key is not None
+                else None)
+    if template is None:
+        template = DeployTemplate.build(
+            _flat_decl(compiled), compiled.trigger_decls, externals,
+            resource_types)
+        if template_key is not None:
+            if len(templates) >= 512:
+                templates.clear()
+            templates[template_key] = template
+    return compiled, template
+
+
+def _template_key(externals: Optional[Mapping[str, Any]],
+                  resource_types: Tuple[str, ...]) -> Optional[tuple]:
+    """Canonical hashable form of a template's inputs, or ``None`` when an
+    external value is unhashable (the template is then built but not
+    stored).  Values key with their type so ``1``, ``1.0`` and ``True``,
+    which hash equal, do not share a template."""
+    items = tuple(sorted(
+        (name, type(value), value)
+        for name, value in (externals or {}).items()))
+    key = (items, resource_types)
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
 
 
 @dataclass
@@ -222,6 +256,8 @@ class Soil:
         self._pcie_rates: Dict[str, Tuple[Any, ...]] = {}
         self._pcie_subject_rates: Dict[Any, Dict[Tuple[str, str],
                                                  float]] = {}
+        self._subject_plans: Dict[Any, Tuple[frozenset, Tuple[int, ...],
+                                             Tuple[Any, ...]]] = {}
         self.resource_types = tuple(resource_types)
         self.deployments: Dict[str, SeedDeployment] = {}
         self.logs: List[Tuple[float, str, str]] = []
@@ -324,18 +360,14 @@ class Soil:
             raise DeploymentError(
                 f"seed {seed_id!r} already deployed on switch "
                 f"{self.switch.switch_id}")
-        compiled = _compiled_for(program_xml, machine_name)
+        compiled, template = _compiled_for(
+            program_xml, machine_name, externals, self.resource_types)
         allocation = {r: float((allocation or {}).get(r, 0.0))
                       for r in self.resource_types}
-        env = ConstEnv.for_machine(
-            _flat_decl(compiled), externals)
-        poll_vars = {
-            decl.name: analyze_poll_var(decl, env, self.resource_types)
-            for decl in compiled.trigger_decls}
         deployment = SeedDeployment(
             seed_id=seed_id, task_id=task_id, machine_name=machine_name,
             instance=None,  # set below (host needs the deployment object)
-            allocation=allocation, poll_vars=poll_vars,
+            allocation=allocation, poll_vars=dict(template.poll_vars),
             event_cpu_s=event_cpu_s, deployed_at=self.sim.now)
         host = _SeedHost(self, deployment)
         instance = MachineInstance(compiled, host, externals=externals,
@@ -427,25 +459,36 @@ class Soil:
         return max(interval, MIN_POLL_INTERVAL_S)
 
     def _rebuild_poll_plans(self, deployment: SeedDeployment) -> None:
-        num_ports = self.switch.asic.num_ports
         plans: Dict[str, _PollPlan] = {}
         for name, info in deployment.poll_vars.items():
             interval = self._interval_for(deployment, info)
-            subjects: Optional[frozenset] = None
-            ports: Tuple[int, ...] = ()
-            rule_patterns: Tuple[Any, ...] = ()
-            if info.kind != "time":
-                subjects = encode_polling_subjects(info.what, num_ports)
-                ports = tuple(sorted(
-                    p for kind, p in subjects if kind == "port"))
-                rule_patterns = tuple(
-                    c for kind, c in subjects if kind == "tcam")
+            if info.kind == "time":
+                subjects, ports, rule_patterns = None, (), ()
+            else:
+                subjects, ports, rule_patterns = self._subjects_for(info.what)
             plans[name] = _PollPlan(
                 info=info, kind=info.kind, interval=interval,
                 subjects=subjects, ports=ports, rule_patterns=rule_patterns,
                 cost_key=("soil", self.switch.switch_id,
                           deployment.seed_id, name))
         deployment.poll_plans = plans
+
+    def _subjects_for(self, what: flt.Filter
+                      ) -> Tuple[frozenset, Tuple[int, ...], Tuple[Any, ...]]:
+        """``(subjects, ports, rule_patterns)`` of a poll filter, encoded
+        once per soil: every seed polling ``what`` shares one frozenset,
+        so group keys and PCIe rate lookups compare by identity."""
+        num_ports = self.switch.asic.num_ports
+        key = (what, num_ports)  # filters are frozen, hence hashable
+        encoded = self._subject_plans.get(key)
+        if encoded is None:
+            subjects = encode_polling_subjects(what, num_ports)
+            encoded = (
+                subjects,
+                tuple(sorted(p for kind, p in subjects if kind == "port")),
+                tuple(c for kind, c in subjects if kind == "tcam"))
+            self._subject_plans[key] = encoded
+        return encoded
 
     def _disarm_triggers(self, deployment: SeedDeployment) -> None:
         """Detach a seed from its timers (shared group timers survive as

@@ -8,19 +8,50 @@ primitive).
 
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import Hashable
 
 from repro.errors import FarmError
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
 
 def _hash64(value: Hashable) -> int:
-    """Deterministic 64-bit scramble of Python's hash (which is already
-    salted per-type but too structured for register selection)."""
-    h = hash(value) & 0xFFFFFFFFFFFFFFFF
-    h = ((h ^ (h >> 33)) * 0xFF51AFD7ED558CCD) & 0xFFFFFFFFFFFFFFFF
-    h = ((h ^ (h >> 33)) * 0xC4CEB9FE1A85EC53) & 0xFFFFFFFFFFFFFFFF
+    """Deterministic 64-bit hash for register selection.
+
+    Numbers keep their builtin hash, which Python never salts; strings,
+    bytes and tuples are hashed from a stable encoding with BLAKE2b, so
+    estimates do not depend on ``PYTHONHASHSEED``.  The result is put
+    through a 64-bit finalizer, since numeric hashes are too structured
+    to pick registers from directly.
+    """
+    if isinstance(value, (int, float)):
+        h = hash(value) & _MASK64
+    else:
+        h = int.from_bytes(hashlib.blake2b(
+            _stable_bytes(value), digest_size=8).digest(), "big")
+    h = ((h ^ (h >> 33)) * 0xFF51AFD7ED558CCD) & _MASK64
+    h = ((h ^ (h >> 33)) * 0xC4CEB9FE1A85EC53) & _MASK64
     return h ^ (h >> 33)
+
+
+def _stable_bytes(value: Hashable) -> bytes:
+    """Type-tagged encoding that is the same in every process.  Other
+    hashable types fall back to ``repr``, which is stable for the value
+    types Almanac programs handle (filters, prefixes, numbers)."""
+    if isinstance(value, str):
+        return b"s" + value.encode("utf-8", "surrogatepass")
+    if isinstance(value, bytes):
+        return b"b" + value
+    if isinstance(value, tuple):
+        parts = [_stable_bytes(item) for item in value]
+        return b"t" + b"".join(
+            len(part).to_bytes(4, "big") + part for part in parts)
+    if isinstance(value, (int, float)):
+        # Equal numbers (1, 1.0, True) must count as one value.
+        return b"n" + (hash(value) & _MASK64).to_bytes(8, "big")
+    return b"r" + repr(value).encode("utf-8", "surrogatepass")
 
 
 class HyperLogLog:

@@ -1,5 +1,10 @@
 """Sketch tests: accuracy guarantees as property tests + Almanac bridge."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -140,6 +145,27 @@ class TestHyperLogLog:
 
     def test_memory_is_register_count(self):
         assert HyperLogLog(precision=10).memory_bytes == 1024
+
+    def test_estimate_independent_of_hash_seed(self):
+        """String and tuple hashing is salted per process; the estimate
+        must not be."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "from repro.sketches import HyperLogLog\n"
+            "hll = HyperLogLog(precision=12)\n"
+            "for index in range(10_000):\n"
+            "    hll.add(('src', index))\n"
+            "    hll.add(f'host-{index % 5000}')\n"
+            "print(repr(hll.count()))\n")
+        counts = []
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": str(src)}
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            counts.append(out.stdout.strip())
+        assert counts[0] == counts[1]
+        assert abs(float(counts[0]) - 15_000) / 15_000 < 0.07
 
 
 class TestSlidingWindow:
